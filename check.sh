@@ -13,6 +13,13 @@ go vet ./...
 echo '== go test ./...'
 go test ./...
 
+echo '== go -C bench test ./...'
+# The benchmark is a module of its own, so the root go test never
+# reaches it. Its test is the scale-100 smoke: every workload's output
+# checks, sim_digest repeatability, and metric names against
+# BENCHMARK.json.
+go -C bench test ./...
+
 echo '== go test -race ./internal/sim/ ./internal/trace/ ./internal/runner/ ./internal/sched/ ./internal/fault/ ./internal/cluster/'
 go test -race ./internal/sim/ ./internal/trace/ ./internal/runner/ ./internal/sched/ ./internal/fault/ ./internal/cluster/
 

@@ -11,8 +11,9 @@ import (
 )
 
 // renderEquivalenceArtifacts regenerates every paper artifact the repo
-// produces — Table 1/2/4, the Fig. 3 sweep, the scheduling sweep, the
-// faults sweep — plus the full VCD trace and filtered image of the
+// produces — Table 1/2/4, the §IV-B reconfiguration times (HWICAP unroll
+// sweep and RV-CAP interrupt mode), the Fig. 3 sweep, the scheduling
+// sweep, the faults sweep — plus the full VCD trace and filtered image of the
 // determinism scenario, all on whichever event queue sim.DefaultQueue
 // currently selects, and returns them as formatted strings (traces as
 // SHA-256 digests) keyed by artifact name.
@@ -37,6 +38,14 @@ func renderEquivalenceArtifacts(t *testing.T) map[string]string {
 		t.Fatal(err)
 	}
 	out["table4"] = experiments.FormatTable4(t4)
+
+	// Fig. 3 skips the HWICAP rows, so the unroll sweep is the one
+	// artifact that drives the keyhole MMIO path at every unroll factor.
+	rt, err := experiments.ReconfigTimes(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out["reconfig-times"] = fmt.Sprintf("%+v", *rt)
 
 	fig3, err := experiments.Fig3(experiments.Fig3Options{SkipHWICAP: true, Unroll: 16, Parallel: 1})
 	if err != nil {

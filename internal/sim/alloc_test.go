@@ -4,8 +4,8 @@ import "testing"
 
 // The steady-state allocation contract of the kernel primitives: after
 // a warm-up pass grows the backing arrays, the hot paths — calendar
-// enqueue (near, same-cycle, and far), Signal.OnFire re-arm, and the
-// fire/dispatch loop — must not allocate. BENCH_8/BENCH_9's allocs/op
+// enqueue (near, same-cycle, and far), Signal.OnFire re-arm, the
+// fire/dispatch loop and direct-run sleeps — must not allocate. BENCH_8/BENCH_9's allocs/op
 // ceilings lean directly on these invariants.
 
 // TestCalendarEnqueueZeroAlloc covers all three Schedule paths: a
@@ -72,5 +72,41 @@ func TestWaitRearmZeroAlloc(t *testing.T) {
 	}
 	if wakes == 0 {
 		t.Fatal("waiter never woke")
+	}
+}
+
+// TestSleepDirectRunZeroAlloc covers the direct-run path of Proc.Sleep:
+// a lone process sleeping with nothing else pending advances time in
+// place — same-cycle, in-window and beyond-window delays alike — with
+// no queue entry, no coroutine switch and no allocation.
+func TestSleepDirectRunZeroAlloc(t *testing.T) {
+	k := NewKernel(WithQueue(CalendarQueue))
+	sig := NewSignal(k, "round")
+	delays := [...]Time{0, 1, 7, ringSize + 3}
+	const sleepsPerRound = 64
+	direct, rounds := 0, 0
+	k.Go("sleeper", func(p *Proc) {
+		for {
+			p.Wait(sig)
+			for i := 0; i < sleepsPerRound; i++ {
+				p.Sleep(delays[i%len(delays)])
+				if sleptInPlace(k) {
+					direct++
+				}
+			}
+		}
+	})
+	k.Run() // park the process
+	round := func() {
+		rounds++
+		sig.Fire()
+		k.Run()
+	}
+	round() // warm-up
+	if n := testing.AllocsPerRun(200, round); n != 0 {
+		t.Fatalf("direct-run sleep loop allocates %.1f allocs per round, want 0", n)
+	}
+	if direct != rounds*sleepsPerRound {
+		t.Fatalf("%d of %d sleeps advanced in place, want all", direct, rounds*sleepsPerRound)
 	}
 }

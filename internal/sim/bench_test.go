@@ -74,8 +74,10 @@ func BenchmarkScheduleFireFar(b *testing.B) {
 	})
 }
 
-// BenchmarkProcSleep measures the full process pause/dispatch round trip,
-// the unit cost of every beat-level stream handoff.
+// BenchmarkProcSleep measures a lone sleeper. Nothing else is ever
+// pending, so on the calendar queue every sleep takes the direct-run
+// path and advances time in place; the legacy heap pays the full
+// pause/dispatch round trip.
 func BenchmarkProcSleep(b *testing.B) {
 	benchQueues(b, func(b *testing.B, q QueueKind) {
 		k := NewKernel(WithQueue(q))
@@ -86,6 +88,27 @@ func BenchmarkProcSleep(b *testing.B) {
 				p.Sleep(1)
 			}
 		})
+		k.Run()
+	})
+}
+
+// BenchmarkProcSleepContended measures the pause/dispatch round trip
+// that BenchmarkProcSleep no longer reaches: two sleepers one cycle
+// apart always have the other's wake pending before their own, so every
+// sleep but the last yields and is re-dispatched from the queue.
+func BenchmarkProcSleepContended(b *testing.B) {
+	benchQueues(b, func(b *testing.B, q QueueKind) {
+		k := NewKernel(WithQueue(q))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for w := 0; w < 2; w++ {
+			k.Go("sleeper", func(p *Proc) {
+				p.Sleep(Time(w))
+				for i := 0; i < b.N/2; i++ {
+					p.Sleep(2)
+				}
+			})
+		}
 		k.Run()
 	})
 }

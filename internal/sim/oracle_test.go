@@ -102,11 +102,15 @@ func TestRunUntilCappedThenRepeatedCaps(t *testing.T) {
 }
 
 // oracleRun drives one kernel through a seeded pseudo-random sequence of
-// schedule / cascade / halt / RunUntil / Step operations and returns the
-// observable trace: firing order with cycles, final time, and the fired
-// counter. The op stream is a pure function of the seed, so running it
-// once per queue implementation yields directly comparable traces.
-func oracleRun(q QueueKind, seed int64) (trace []string, now Time, fired uint64) {
+// schedule / cascade / halt / RunUntil / Step operations, interleaved
+// with processes that sleep, wait on and fire signals, contend for a
+// resource, schedule callbacks and halt the kernel. It returns the
+// observable trace (firing order with cycles), the final time and the
+// fired counter. The op stream is a pure function of the seed, so
+// running it once per queue implementation yields directly comparable
+// traces. direct counts the process sleeps that advanced time in place
+// (calendar queue only); it is not part of the comparison.
+func oracleRun(q QueueKind, seed int64) (trace []string, now Time, fired uint64, direct int) {
 	k := NewKernel(WithQueue(q))
 	rng := rand.New(rand.NewSource(seed))
 	id := 0
@@ -114,6 +118,10 @@ func oracleRun(q QueueKind, seed int64) (trace []string, now Time, fired uint64)
 	// cascades (compaction path), window edges base+ringSize±1, and far
 	// events that must migrate back.
 	delays := []Time{0, 0, 1, 2, 63, 64, ringSize - 1, ringSize, ringSize + 1, 2 * ringSize, 3*ringSize + 7}
+	sleeps := []Time{0, 1, 1, 1, ringSize - 1, ringSize + 1, 3*ringSize + 7}
+	sigs := []*Signal{NewSignal(k, "a"), NewSignal(k, "b")}
+	res := NewResource(k, "r")
+	var procs []*Proc
 	var schedule func(depth int)
 	schedule = func(depth int) {
 		n := id
@@ -139,14 +147,66 @@ func oracleRun(q QueueKind, seed int64) (trace []string, now Time, fired uint64)
 					schedule(depth + 1)
 				}
 			}
+			if rng.Intn(8) == 0 {
+				sigs[rng.Intn(len(sigs))].Fire()
+			}
 			if rng.Intn(64) == 0 {
 				k.Halt()
 			}
 		})
 	}
+	// spawn starts a process running a seeded mix of kernel calls. Runs
+	// of sleeps with nothing else pending take the direct-run path on
+	// the calendar queue; the same sleeps queued behind other events,
+	// dispatched by Step, crossing a RunUntil limit or following a Halt
+	// must take the round trip.
+	spawn := func() {
+		n := id
+		id++
+		steps := 4 + rng.Intn(12)
+		procs = append(procs, k.Go(fmt.Sprintf("p%d", n), func(p *Proc) {
+			sleep := func() {
+				p.Sleep(sleeps[rng.Intn(len(sleeps))])
+				if q == CalendarQueue && sleptInPlace(k) {
+					direct++
+				}
+			}
+			for s := 0; s < steps; s++ {
+				trace = append(trace, fmt.Sprintf("p%d.%d@%d", n, s, k.Now()))
+				switch rng.Intn(8) {
+				case 0, 1, 2:
+					for j := rng.Intn(8); j >= 0; j-- {
+						sleep()
+					}
+				case 3:
+					p.Wait(sigs[rng.Intn(len(sigs))])
+				case 4:
+					sigs[rng.Intn(len(sigs))].Fire()
+					sleep()
+				case 5:
+					res.Acquire(p)
+					trace = append(trace, fmt.Sprintf("p%d.acq@%d", n, k.Now()))
+					sleep()
+					res.Release()
+				case 6:
+					schedule(3)
+					sleep()
+				case 7:
+					if rng.Intn(4) == 0 {
+						k.Halt()
+					}
+					sleep()
+				}
+			}
+			trace = append(trace, fmt.Sprintf("p%d.end@%d", n, k.Now()))
+		}))
+	}
 	for round := 0; round < 40; round++ {
 		for i := 0; i < 4; i++ {
 			schedule(0)
+		}
+		if rng.Intn(2) == 0 {
+			spawn()
 		}
 		switch rng.Intn(5) {
 		case 0:
@@ -162,32 +222,47 @@ func oracleRun(q QueueKind, seed int64) (trace []string, now Time, fired uint64)
 				k.Step()
 			}
 		case 3:
-			k.RunUntil(k.Now() + ringSize + Time(rng.Intn(3))-1)
+			k.RunUntil(k.Now() + ringSize + Time(rng.Intn(3)) - 1)
 		case 4:
 			k.RunUntil(k.Now())
 		}
 	}
 	k.Run()
-	// A Halt fired by the final Run leaves events pending; drain them so
-	// both queues account for every scheduled event.
-	for k.Pending() > 0 {
-		k.Run()
+	// A Halt fired by the final Run leaves events pending, and a process
+	// may still be parked on a signal nothing fires any more; drain both
+	// so the queues account for every scheduled event.
+	for {
+		for k.Pending() > 0 {
+			k.Run()
+		}
+		parked := false
+		for _, p := range procs {
+			parked = parked || !p.Done()
+		}
+		if !parked {
+			break
+		}
+		for _, s := range sigs {
+			s.Fire()
+		}
 	}
-	return trace, k.Now(), k.Events()
+	return trace, k.Now(), k.Events(), direct
 }
 
 // TestCalendarFuzzOracleMatchesLegacy is the randomized equivalence
-// oracle: identical seeded schedule/halt/RunUntil/Step sequences through
+// oracle: identical seeded schedule/halt/RunUntil/Step sequences, with
+// processes sleeping, waiting, firing and contending among them, through
 // the calendar queue and the legacy heap must produce identical fire
 // order, identical final time, and identical fired counts — including
-// the same-cycle cascade compaction path and far-heap migrations at the
-// base+ringSize±1 boundaries.
+// the same-cycle cascade compaction path, far-heap migrations at the
+// base+ringSize±1 boundaries, and direct-run sleeps, which only the
+// calendar queue takes.
 func TestCalendarFuzzOracleMatchesLegacy(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			ct, cn, cf := oracleRun(CalendarQueue, seed)
-			lt, ln, lf := oracleRun(LegacyHeap, seed)
+			ct, cn, cf, direct := oracleRun(CalendarQueue, seed)
+			lt, ln, lf, _ := oracleRun(LegacyHeap, seed)
 			if len(ct) != len(lt) {
 				t.Fatalf("trace lengths differ: calendar %d, legacy %d", len(ct), len(lt))
 			}
@@ -204,6 +279,9 @@ func TestCalendarFuzzOracleMatchesLegacy(t *testing.T) {
 			}
 			if len(ct) < 200 {
 				t.Fatalf("oracle run too small to be meaningful: %d events", len(ct))
+			}
+			if direct == 0 {
+				t.Fatal("no process sleep took the direct-run path")
 			}
 		})
 	}

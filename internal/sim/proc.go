@@ -121,9 +121,18 @@ func (p *Proc) Name() string { return p.name }
 // Done reports whether the process function has returned.
 func (p *Proc) Done() bool { return p.done }
 
-// Sleep suspends the process for d cycles of simulated time. A zero
-// delay still yields so same-cycle events interleave fairly.
+// Sleep suspends the process for d cycles of simulated time. If any
+// other event is pending at or before the wake cycle, the process yields
+// and is re-dispatched behind it, so a zero delay lets same-cycle events
+// interleave fairly. If none is, and Run or RunUntil is driving the
+// calendar queue, the process is the next thing that would run anyway:
+// time advances in place, the wake still counts in Events, and the
+// process keeps running without a coroutine switch. Event order, time
+// and event counts are identical either way.
 func (p *Proc) Sleep(d Time) {
+	if p.k.sleepInPlace(p.k.now + d) {
+		return
+	}
 	p.k.push(p.k.now+d, entry{proc: p})
 	p.pause()
 }

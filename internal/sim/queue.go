@@ -166,7 +166,7 @@ func (k *Kernel) position(limit Time) bool {
 }
 
 // drain runs every entry of the current cycle's bucket — including
-// same-cycle cascade appends — in one pass, advancing time once and
+// same-cycle cascade appends — in one pass, setting time once and
 // re-checking nothing but the bucket length per event. position() pays
 // the window bookkeeping per *cycle*; drain() makes each event inside
 // the cycle cost a slice index, a counter, and the dispatch. The
@@ -176,11 +176,17 @@ func (k *Kernel) position(limit Time) bool {
 // when the bucket is exhausted or Halt was called mid-cascade.
 //
 // Callers must have established via position() that ring[base&ringMask]
-// holds the earliest pending event.
+// holds the earliest pending event. The bucket is looked up again after
+// every event because a direct-run sleep (sleepInPlace) inside a
+// dispatched process moves the window, and time with it, to a later
+// cycle; the loop then carries on with that cycle's bucket.
 func (k *Kernel) drain() {
-	b := &k.ring[k.base&ringMask]
 	k.now = k.base
-	for k.pos < len(*b) && !k.halt {
+	for !k.halt {
+		b := &k.ring[k.base&ringMask]
+		if k.pos >= len(*b) {
+			return
+		}
 		if k.pos >= 64 && k.pos >= len(*b)-k.pos {
 			n := copy(*b, (*b)[k.pos:])
 			tail := (*b)[n:]
@@ -197,6 +203,40 @@ func (k *Kernel) drain() {
 		k.fired++
 		e.run(k)
 	}
+}
+
+// sleepInPlace is the direct-run path of Proc.Sleep. When the sleeping
+// process is the only work left at or before its wake cycle t, the
+// pause/dispatch round trip would hand control straight back to it at
+// t, so the kernel advances time in place instead and reports true. It
+// does exactly what the round trip would have: counts the wake as a
+// fired event, recycles the exhausted bucket, and moves the window to t
+// with setBase (migrating the far events it now covers), so drain and
+// position find a consistent window when the process next yields.
+//
+// Eligibility: Run or RunUntil is driving the queue with t within its
+// limit (never Step, which promises one event per call, and never the
+// legacy heap), no Halt is pending, the current bucket holds no
+// unfired entry, and every ring and far event lies strictly after t.
+// The caller is the running process, so now == base here.
+func (k *Kernel) sleepInPlace(t Time) bool {
+	if !k.direct || k.halt || t > k.runLimit {
+		return false
+	}
+	i := k.base & ringMask
+	b := &k.ring[i]
+	if k.pos < len(*b) ||
+		k.ringN > 0 && k.nextOccupied(k.base+1) <= t ||
+		len(k.far) > 0 && k.far[0].at <= t {
+		return false
+	}
+	*b = (*b)[:0]
+	k.occ[i>>6] &^= 1 << (i & 63)
+	k.pos = 0
+	k.setBase(t)
+	k.now = t
+	k.fired++
+	return true
 }
 
 // fire runs the event position() selected, advancing current time to

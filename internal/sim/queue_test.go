@@ -305,3 +305,127 @@ func TestSchedulePastWindowAfterIdle(t *testing.T) {
 		}
 	}
 }
+
+// sleptInPlace reports, from inside a process right after Sleep returned,
+// whether that sleep took the direct-run path (calendar queue only): a
+// re-dispatch from the queue consumes the wake entry and leaves the
+// bucket cursor past it, while an in-place advance leaves the new
+// cycle's bucket untouched.
+func sleptInPlace(k *Kernel) bool {
+	return k.pos == 0 && len(k.ring[k.base&ringMask]) == 0
+}
+
+// TestSleepDirectRunEligibility pins down when Proc.Sleep advances time
+// in place on the calendar queue: only under Run or RunUntil with the
+// wake cycle inside the limit, with no Halt pending, and with no other
+// event at or before the wake cycle. Each scenario also runs on the
+// legacy heap, which never takes the path, and must fire the same
+// events at the same cycles, end at the same time and count the same
+// events.
+func TestSleepDirectRunEligibility(t *testing.T) {
+	drain := func(k *Kernel) {
+		for k.Pending() > 0 {
+			k.Run()
+		}
+	}
+	cases := []struct {
+		name  string
+		body  func(k *Kernel, p *Proc, note func())
+		drive func(k *Kernel)
+		want  bool
+	}{
+		{"lone sleeper", func(k *Kernel, p *Proc, note func()) { p.Sleep(5) }, drain, true},
+		{"zero delay, nothing else this cycle", func(k *Kernel, p *Proc, note func()) { p.Sleep(0) }, drain, true},
+		{"zero delay behind a same-cycle event", func(k *Kernel, p *Proc, note func()) {
+			k.Schedule(0, note)
+			p.Sleep(0)
+		}, drain, false},
+		{"event at the wake cycle", func(k *Kernel, p *Proc, note func()) {
+			k.Schedule(5, note)
+			p.Sleep(5)
+		}, drain, false},
+		{"event after the wake cycle", func(k *Kernel, p *Proc, note func()) {
+			k.Schedule(6, note)
+			p.Sleep(5)
+		}, drain, true},
+		{"far event at the wake cycle", func(k *Kernel, p *Proc, note func()) {
+			k.Schedule(3*ringSize, note)
+			p.Sleep(3 * ringSize)
+		}, drain, false},
+		{"far sleep just before a far event", func(k *Kernel, p *Proc, note func()) {
+			k.Schedule(3*ringSize, note)
+			k.Schedule(4*ringSize, note)
+			p.Sleep(3*ringSize - 1)
+		}, drain, true},
+		{"halt pending", func(k *Kernel, p *Proc, note func()) {
+			k.Halt()
+			p.Sleep(5)
+		}, drain, false},
+		{"within the RunUntil limit", func(k *Kernel, p *Proc, note func()) { p.Sleep(5) },
+			func(k *Kernel) { k.RunUntil(5); drain(k) }, true},
+		{"past the RunUntil limit", func(k *Kernel, p *Proc, note func()) { p.Sleep(6) },
+			func(k *Kernel) { k.RunUntil(5); drain(k) }, false},
+		{"dispatched by Step", func(k *Kernel, p *Proc, note func()) { p.Sleep(5) },
+			func(k *Kernel) {
+				for k.Step() {
+				}
+			}, false},
+	}
+	type outcome struct {
+		log    string
+		now    Time
+		events uint64
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var results [2]outcome
+			for i, q := range []QueueKind{CalendarQueue, LegacyHeap} {
+				k := NewKernel(WithQueue(q))
+				var log string
+				note := func() { log += fmt.Sprintf("event@%d ", k.Now()) }
+				k.Go("sleeper", func(p *Proc) {
+					c.body(k, p, note)
+					if q == CalendarQueue {
+						if got := sleptInPlace(k); got != c.want {
+							t.Errorf("slept in place = %v, want %v", got, c.want)
+						}
+					}
+					log += fmt.Sprintf("woke@%d ", k.Now())
+				})
+				c.drive(k)
+				results[i] = outcome{log, k.Now(), k.Events()}
+			}
+			if results[0] != results[1] {
+				t.Fatalf("calendar %+v, legacy %+v", results[0], results[1])
+			}
+		})
+	}
+}
+
+// TestSleepDirectRunNestedStep covers Step called from inside a Run: the
+// process it dispatches must still run for exactly one event, so its
+// sleep takes the round trip even though the enclosing Run would allow
+// the direct-run path.
+func TestSleepDirectRunNestedStep(t *testing.T) {
+	k := NewKernel(WithQueue(CalendarQueue))
+	var woke Time
+	k.At(1, func() {
+		k.Go("sleeper", func(p *Proc) {
+			p.Sleep(5)
+			if sleptInPlace(k) {
+				t.Error("sleep dispatched by a nested Step advanced in place")
+			}
+			woke = k.Now()
+		})
+		if !k.Step() {
+			t.Error("nested Step found no event")
+		}
+		if woke != 0 {
+			t.Errorf("nested Step ran the sleeper on to cycle %d", woke)
+		}
+	})
+	k.Run()
+	if woke != 6 {
+		t.Fatalf("sleeper woke at %d, want 6", woke)
+	}
+}

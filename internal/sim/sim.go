@@ -109,6 +109,12 @@ type Kernel struct {
 	pos   int  // next unfired entry in ring[base&ringMask]
 	ringN int  // pending entries across all buckets
 	far   []farEvent
+
+	// Direct-run sleeps (see sleepInPlace): set while Run or RunUntil
+	// drives the calendar queue, which may then advance time in place
+	// for a sleeping process up to runLimit. Step clears it.
+	direct   bool
+	runLimit Time
 }
 
 // NewKernel returns an empty kernel at cycle 0.
@@ -181,7 +187,12 @@ func (k *Kernel) Step() bool {
 	if !k.position(Forever) {
 		return false
 	}
+	// One event per call: the fired process must not run on past its
+	// sleeps, so the direct-run path is off for the duration.
+	direct := k.direct
+	k.direct = false
 	k.fire()
+	k.direct = direct
 	return true
 }
 
@@ -199,9 +210,12 @@ func (k *Kernel) Run() {
 		}
 		return
 	}
+	direct, limit := k.direct, k.runLimit
+	k.direct, k.runLimit = true, Forever
 	for !k.halt && k.position(Forever) {
 		k.drain()
 	}
+	k.direct, k.runLimit = direct, limit
 }
 
 // RunUntil executes events with timestamps <= t, then sets the current
@@ -213,9 +227,12 @@ func (k *Kernel) RunUntil(t Time) {
 			k.Step()
 		}
 	} else {
+		direct, limit := k.direct, k.runLimit
+		k.direct, k.runLimit = true, t
 		for !k.halt && k.position(t) {
 			k.drain()
 		}
+		k.direct, k.runLimit = direct, limit
 	}
 	if !k.halt && k.now < t {
 		k.now = t
