@@ -1,8 +1,18 @@
 #!/bin/sh
-# Pre-PR gate: build, vet, tests, race detector on the concurrency
-#-sensitive packages, and the project lint rules. Run from the repo
-# root before sending a PR; CI runs the same sequence.
+# Pre-PR gate: formatting, build, vet, tests, the benchmark smoke, race
+# detector on the concurrency-sensitive packages, and the project lint
+# rules. Run from the repo root before sending a PR; CI runs the same
+# sequence.
 set -eu
+
+echo '== gofmt -l .'
+# Formatting is part of the gate: any file gofmt would rewrite fails it.
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+	echo "gofmt: these files need gofmt -w:" >&2
+	echo "$unformatted" >&2
+	exit 1
+fi
 
 echo '== go build ./...'
 go build ./...
@@ -14,9 +24,10 @@ echo '== go test ./...'
 go test ./...
 
 echo '== go -C bench test ./...'
-# The benchmark is a module of its own, so the root go test never
-# reaches it. Its test is the scale-100 smoke: every workload's output
-# checks, sim_digest repeatability, and metric names against
+# The benchmark (bench/run.sh, declared by BENCHMARK.json) is the one
+# performance harness. It is a module of its own, so the root go test
+# never reaches it. Its test is the scale-100 smoke: every workload's
+# output checks, sim_digest repeatability, and metric names against
 # BENCHMARK.json.
 go -C bench test ./...
 
@@ -68,69 +79,20 @@ echo '== rvcap-bench fleet determinism'
 "$tmp/rvcap-bench" -experiment fleet -parallel 4 -json -outdir "$tmp/fl4" > /dev/null
 cmp "$tmp/fl1/BENCH_fleet.json" "$tmp/fl4/BENCH_fleet.json"
 
-echo '== rvcap-bench -benchjson smoke (BENCH_5.json)'
-# The kernel fast-path benchmark must produce a well-formed BENCH_5.json
-# with one run per queue and identical event counts on both (the cheap
-# always-on equivalence signal). benchcheck parses the JSON properly
-# instead of grepping for duplicated lines.
-"$tmp/rvcap-bench" -benchjson -benchiters 1 -outdir "$tmp/b5" > /dev/null
-go run ./cmd/benchcheck "$tmp/b5/BENCH_5.json"
-
-echo '== rvcap-bench -fleetjson smoke (BENCH_6.json)'
-# The fleet weak-scaling benchmark runs every board count serial and
-# parallel within one invocation and digests the deterministic per-board
-# reports; benchcheck enforces that every rung's digests matched (wall
-# times in the file rule out a byte-level compare across invocations).
-"$tmp/rvcap-bench" -fleetjson -fleetjobs 40 -outdir "$tmp/b6" > /dev/null
-go run ./cmd/benchcheck "$tmp/b6/BENCH_6.json"
-# The committed record must carry host_cores and pass the same rules
-# (scaling assertions downgrade to annotated skips on core-starved
-# recording hosts rather than asserting parallel speedups they cannot
-# show).
-go run ./cmd/benchcheck BENCH_6.json
-
-echo '== rvcap-bench -cascadejson smoke (BENCH_8.json)'
-# The second-round kernel benchmark re-measures both queues against the
-# committed BENCH_5.json baseline and re-runs the 8-board fleet rung.
-# The committed BENCH_8.json must hold the full >= 3x per-core
-# improvement; the fresh smoke run uses a lower floor (1.5x) so the gate
-# survives slower or noisier CI hosts while still catching a real
-# regression of the fast path.
-go run ./cmd/benchcheck -baseline BENCH_5.json BENCH_8.json
-"$tmp/rvcap-bench" -cascadejson -benchiters 2 -outdir "$tmp/b8" > /dev/null
-go run ./cmd/benchcheck -baseline BENCH_5.json -min-ratio 1.5 "$tmp/b8/BENCH_8.json"
-
-echo '== rvcap-bench -steadyjson smoke (BENCH_9.json)'
-# The steady-state benchmark streams the job ladder through pooled
-# board runtimes and proves bounded memory (peak heap flat across a
-# 10x job step), replay determinism and the end-to-end allocs/op
-# ceiling. The committed record must hold the full gates; the smoke
-# run shrinks the ladder (-steadyscale) and runs one benchmark
-# iteration, so its one-time setup is amortised over far fewer jobs —
-# it uses a relaxed allocs ceiling and a relaxed heap ratio (tiny
-# rungs sit on the GC ramp, not at the steady-state asymptote) while
-# still catching a broken histogram, a lost digest match or a
-# regressed kernel.
-go run ./cmd/benchcheck -baseline BENCH_8.json BENCH_9.json
-"$tmp/rvcap-bench" -steadyjson -steadyscale 100 -benchiters 1 -steadybaseline BENCH_8.json -outdir "$tmp/b9" > /dev/null
-go run ./cmd/benchcheck -baseline BENCH_8.json -steady-allocs-ceiling 6000 -steady-heap-ratio 2.0 -steady-min-ratio 0.5 "$tmp/b9/BENCH_9.json"
-
 echo '== benchcheck -claims (doc headline numbers vs committed JSON)'
 # Every benchclaim-annotated number in the docs must match the committed
 # benchmark JSON it cites, so perf prose cannot drift from measurements.
 go run ./cmd/benchcheck -claims README.md -claims DESIGN.md
 
-echo '== rvcap-bench amorphous determinism + -fragjson (BENCH_7.json)'
+echo '== rvcap-bench amorphous determinism'
 # The placement sweep replays seeded request streams against both
-# partitioning models in independent cells, so its rows (and BENCH_7)
-# must not depend on the worker count; benchcheck then enforces the
-# headline claims (a mix fixed slots reject that amorphous serves with
-# zero failures, and defrag passes that lower fragmentation).
+# partitioning models in independent cells, so its rows must not depend
+# on the worker count. The sweep's headline claims (a mix fixed slots
+# reject that amorphous serves with zero failures, and defrag passes
+# that lower fragmentation) are asserted by TestAmorphousSweepLadder.
 "$tmp/rvcap-bench" -experiment amorphous -parallel 1 -json -outdir "$tmp/a1" > /dev/null
 "$tmp/rvcap-bench" -experiment amorphous -parallel 4 -json -outdir "$tmp/a4" > /dev/null
 cmp "$tmp/a1/BENCH_amorphous.json" "$tmp/a4/BENCH_amorphous.json"
-"$tmp/rvcap-bench" -fragjson -outdir "$tmp/b7" > /dev/null
-go run ./cmd/benchcheck "$tmp/b7/BENCH_7.json"
 
 echo '== examples smoke'
 # The examples are documentation that compiles; keep the canonical ones

@@ -9,10 +9,6 @@
 //	rvcap-bench -experiment fig3 -parallel 4       # 4 host workers (0 = all cores)
 //	rvcap-bench -experiment sched -seed 7          # scheduling sweep, custom seed
 //	rvcap-bench -experiment fig3 -json -outdir out # also write BENCH_fig3.json
-//	rvcap-bench -benchjson -outdir out             # kernel fast-path bench -> BENCH_5.json
-//	rvcap-bench -fleetjson -outdir out             # fleet weak-scaling bench -> BENCH_6.json
-//	rvcap-bench -fragjson -outdir out              # amorphous placement sweep -> BENCH_7.json
-//	rvcap-bench -cascadejson -outdir out           # second-round kernel bench -> BENCH_8.json
 //	rvcap-bench -experiment fleet -parallel 4      # cluster sweep, boards on 4 workers
 //	rvcap-bench -experiment table4 -cpuprofile cpu.pb.gz -memprofile mem.pb.gz
 //
@@ -21,6 +17,10 @@
 // are byte-identical for every worker count. With -json, each
 // experiment additionally writes a machine-readable BENCH_<name>.json
 // file under -outdir alongside the formatted table on stdout.
+//
+// Host-speed measurement (ns/op, allocs/op, peak heap, per-layer
+// shares) is not this command's job: it lives in the benchmark module,
+// run with `bash bench/run.sh` from the repository root.
 package main
 
 import (
@@ -214,25 +214,6 @@ func main() {
 	jsonOut := flag.Bool("json", false,
 		"also write machine-readable BENCH_<experiment>.json files to -outdir")
 	outDir := flag.String("outdir", ".", "directory for -json output files")
-	benchJSON := flag.Bool("benchjson", false,
-		"run the kernel fast-path benchmark (end-to-end swap+compute on both event queues) and write BENCH_5.json to -outdir instead of running experiments")
-	benchIters := flag.Int("benchiters", 3, "iterations per queue for -benchjson")
-	fleetJSON := flag.Bool("fleetjson", false,
-		"run the fleet weak-scaling benchmark (board ladder, serial vs parallel digests) and write BENCH_6.json to -outdir instead of running experiments")
-	fleetJobs := flag.Int("fleetjobs", 600, "jobs per board for -fleetjson")
-	cascadeJSON := flag.Bool("cascadejson", false,
-		"run the second-round kernel benchmark (both queues + fleet aggregate, ratio vs the committed BENCH_5 baseline) and write BENCH_8.json to -outdir instead of running experiments")
-	cascadeBase := flag.String("baseline", "BENCH_5.json",
-		"committed kernel-fastpath baseline for -cascadejson")
-	steadyJSON := flag.Bool("steadyjson", false,
-		"run the steady-state streaming benchmark (single-board job ladder + end-to-end + >=1M-job fleet rung, vs the committed BENCH_8 baseline) and write BENCH_9.json to -outdir instead of running experiments")
-	steadyBase := flag.String("steadybaseline", "BENCH_8.json",
-		"committed kernel-cascade baseline for -steadyjson")
-	steadyScale := flag.Int("steadyscale", 1,
-		"divide every -steadyjson ladder rung by this factor (smoke runs; the committed record uses 1)")
-	fragJSON := flag.Bool("fragjson", false,
-		"run the amorphous placement sweep (fixed pre-cut slots vs frame-granular allocator) and write BENCH_7.json to -outdir instead of running experiments")
-	fragReqs := flag.Int("fragreqs", 0, "requests per cell for -fragjson (0 = sweep default)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile at exit to this file")
 	flag.Parse()
@@ -273,42 +254,6 @@ func main() {
 				os.Exit(1)
 			}
 		}()
-	}
-
-	if *benchJSON {
-		if err := runBenchJSON(*outDir, *benchIters); err != nil {
-			fmt.Fprintf(os.Stderr, "rvcap-bench: -benchjson: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *fleetJSON {
-		if err := runFleetJSON(*outDir, *fleetJobs, runtime.NumCPU()); err != nil {
-			fmt.Fprintf(os.Stderr, "rvcap-bench: -fleetjson: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *cascadeJSON {
-		if err := runCascadeJSON(*outDir, *benchIters, *fleetJobs, runtime.NumCPU(), *cascadeBase); err != nil {
-			fmt.Fprintf(os.Stderr, "rvcap-bench: -cascadejson: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *steadyJSON {
-		if err := runSteadyJSON(*outDir, *benchIters, runtime.NumCPU(), *steadyScale, *steadyBase); err != nil {
-			fmt.Fprintf(os.Stderr, "rvcap-bench: -steadyjson: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *fragJSON {
-		if err := runFragJSON(*outDir, *fragReqs, *parallel); err != nil {
-			fmt.Fprintf(os.Stderr, "rvcap-bench: -fragjson: %v\n", err)
-			os.Exit(1)
-		}
-		return
 	}
 
 	// Validate before any work: an unknown experiment must fail fast,

@@ -97,7 +97,6 @@ type outRow struct {
 	last bool
 }
 
-
 // start launches the engine's two continuation state machines: the
 // input/compute side consumes one image per pass, handing each output
 // row to the concurrent write-back side as soon as its lower neighbour

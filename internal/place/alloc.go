@@ -181,7 +181,7 @@ func (a *Allocator) findAnchor(fp Footprint) (row, col int, ok bool) {
 	w := fp.Width()
 	switch a.pol {
 	case BestFit:
-		bestR, bestC, bestSlack := -1, -1, int(^uint(0) >> 1)
+		bestR, bestC, bestSlack := -1, -1, int(^uint(0)>>1)
 		for r := a.win.Row0; r <= a.win.Row1; r++ {
 			for c := a.win.Col0; c <= a.win.Col1; c++ {
 				if !a.fits(r, c, fp) {

@@ -217,7 +217,6 @@ type rpState struct {
 	reconfigCycles sim.Time
 }
 
-
 // Runtime is one scenario in flight on one Board. Construct with
 // Board.Run (or the package-level Run convenience wrapper).
 type Runtime struct {
