@@ -23,6 +23,15 @@ go vet ./...
 echo '== go test ./...'
 go test ./...
 
+echo '== go test -fuzz FuzzRelocate (10 s)'
+# A short fuzz budget on bitstream relocation: the batched-CRC relocator
+# must match its word-by-word reference on arbitrary streams, refuse the
+# same corrupt ones, and invert under the opposite shift. The seed
+# corpus lives in internal/bitstream/testdata/fuzz/FuzzRelocate. Streams
+# are kilobytes long, so minimising a new interesting input is capped at
+# 1 s; uncapped, it would take the whole budget.
+go test -run '^$' -fuzz FuzzRelocate -fuzztime 10s -fuzzminimizetime 1s ./internal/bitstream
+
 echo '== go -C bench test ./...'
 # The benchmark (bench/run.sh, declared by BENCHMARK.json) is the one
 # performance harness. It is a module of its own, so the root go test

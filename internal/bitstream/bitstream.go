@@ -14,8 +14,10 @@
 package bitstream
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 
 	"rvcap/internal/fpga"
@@ -91,6 +93,10 @@ func frameContent(partition, module string, frameIdx int) []uint32 {
 	return words
 }
 
+// zeroFrame is the all-zero frame payload of pad and blanking frames;
+// it is only ever read.
+var zeroFrame [fpga.FrameWords]uint32
+
 // builder accumulates a configuration word stream while tracking the CRC
 // exactly as the fpga.ICAP engine computes it.
 type builder struct {
@@ -141,7 +147,17 @@ func (b *builder) fdriType2(frames [][]uint32) {
 // frame runs, fetching each frame's payload through content. It is the
 // shared core of Partial and BlankFrames.
 func emitStream(dev *fpga.Device, runs [][2]int, content func(idx int) []uint32, opts Options) ([]uint32, int, error) {
-	var b builder
+	// Size the stream once: fixed packets, then per run a FAR write, a
+	// NOP, the two FDRI headers and the frames plus their pad frame; the
+	// padding target bounds it from below.
+	const fixedWords = 64
+	size, longest := fixedWords, 0
+	for _, run := range runs {
+		size += 5 + (run[1]-run[0]+2)*fpga.FrameWords
+		longest = max(longest, run[1]-run[0]+2)
+	}
+	b := builder{words: make([]uint32, 0, max(size, opts.PadToBytes/4))}
+	payload := make([][]uint32, 0, longest)
 	// Standard preamble: dummies, bus-width detect, sync.
 	b.raw(fpga.DummyWord, fpga.DummyWord, fpga.DummyWord, fpga.DummyWord,
 		fpga.BusWidthSync, fpga.BusWidthWord, fpga.DummyWord, fpga.DummyWord,
@@ -160,12 +176,12 @@ func emitStream(dev *fpga.Device, runs [][2]int, content func(idx int) []uint32,
 		}
 		b.write(fpga.RegFAR, far)
 		b.raw(fpga.NoopWord)
-		var payload [][]uint32
+		payload = payload[:0]
 		for idx := run[0]; idx <= run[1]; idx++ {
 			payload = append(payload, content(idx))
 			frames++
 		}
-		payload = append(payload, make([]uint32, fpga.FrameWords)) // pad frame
+		payload = append(payload, zeroFrame[:]) // pad frame
 		b.fdriType2(payload)
 	}
 
@@ -240,12 +256,12 @@ func BlankFrames(dev *fpga.Device, frames []int, opts Options) (*Image, error) {
 		runs = append(runs, [2]int{sorted[i], sorted[j]})
 		i = j + 1
 	}
-	zero := make([]uint32, fpga.FrameWords)
-	words, n, err := emitStream(dev, runs, func(int) []uint32 { return zero }, opts)
+	zero := func(int) []uint32 { return zeroFrame[:] }
+	words, n, err := emitStream(dev, runs, zero, opts)
 	if err != nil {
 		return nil, err
 	}
-	sig := fpga.HashFrames(func(int) []uint32 { return zero }, sorted)
+	sig := fpga.HashFrames(zero, sorted)
 	return &Image{Module: "", Partition: "", Words: words, Signature: sig, Frames: n}, nil
 }
 
@@ -267,25 +283,36 @@ func (im *Image) Bytes() []byte {
 
 // WordsToBytes serialises configuration words big-endian.
 func WordsToBytes(words []uint32) []byte {
-	out := make([]byte, len(words)*4)
+	return AppendBytes(make([]byte, 0, len(words)*4), words)
+}
+
+// AppendBytes appends words serialised big-endian to dst and returns
+// the extended slice.
+func AppendBytes(dst []byte, words []uint32) []byte {
+	n := len(dst)
+	dst = slices.Grow(dst, len(words)*4)[:n+len(words)*4]
 	for i, w := range words {
-		out[i*4] = byte(w >> 24)
-		out[i*4+1] = byte(w >> 16)
-		out[i*4+2] = byte(w >> 8)
-		out[i*4+3] = byte(w)
+		binary.BigEndian.PutUint32(dst[n+i*4:], w)
 	}
-	return out
+	return dst
 }
 
 // BytesToWords deserialises a big-endian word stream. The byte count
 // must be word-aligned.
 func BytesToWords(b []byte) ([]uint32, error) {
+	return AppendWords(make([]uint32, 0, len(b)/4), b)
+}
+
+// AppendWords appends the big-endian word stream b (word-aligned) to
+// dst and returns the extended slice.
+func AppendWords(dst []uint32, b []byte) ([]uint32, error) {
 	if len(b)%4 != 0 {
-		return nil, fmt.Errorf("bitstream: %d bytes is not word-aligned", len(b))
+		return dst, fmt.Errorf("bitstream: %d bytes is not word-aligned", len(b))
 	}
-	words := make([]uint32, len(b)/4)
-	for i := range words {
-		words[i] = uint32(b[i*4])<<24 | uint32(b[i*4+1])<<16 | uint32(b[i*4+2])<<8 | uint32(b[i*4+3])
+	n := len(dst)
+	dst = slices.Grow(dst, len(b)/4)[:n+len(b)/4]
+	for i := range dst[n:] {
+		dst[n+i] = binary.BigEndian.Uint32(b[i*4:])
 	}
-	return words, nil
+	return dst, nil
 }

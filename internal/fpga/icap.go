@@ -191,11 +191,18 @@ func (ic *ICAP) fail(err error) {
 // at the CRC check. The bitstream writer uses the same function, so
 // generated streams always carry the value the engine will compute.
 func UpdateCRC(crc uint32, reg, w uint32) uint32 {
-	// crc32.Update over the 5 bytes {reg, w LSB-first}: MakeTable
-	// (Castagnoli) hands back the table the stdlib recognises, so this
-	// dispatches to the hardware CRC32-C instruction where available.
-	b := [5]byte{byte(reg), byte(w), byte(w >> 8), byte(w >> 16), byte(w >> 24)}
-	return crc32.Update(crc, crcTable, b[:])
+	// The table fold of the 5 bytes {reg, w LSB-first}, exactly what
+	// crc32.Update computes over them. Slicing a local array into
+	// crc32.Update would move it to the heap on every call (the stdlib
+	// dispatches through a function value); long runs go through
+	// UpdateCRCBytes instead.
+	crc = ^crc
+	crc = crcTable[byte(crc)^byte(reg)] ^ crc>>8
+	crc = crcTable[byte(crc)^byte(w)] ^ crc>>8
+	crc = crcTable[byte(crc)^byte(w>>8)] ^ crc>>8
+	crc = crcTable[byte(crc)^byte(w>>16)] ^ crc>>8
+	crc = crcTable[byte(crc)^byte(w>>24)] ^ crc>>8
+	return ^crc
 }
 
 // UpdateCRCBytes folds an already-serialised run of (reg, word) bytes —
@@ -206,8 +213,10 @@ func UpdateCRCBytes(crc uint32, p []byte) uint32 {
 	return crc32.Update(crc, crcTable, p)
 }
 
-// crcFlushLen bounds the lazily-buffered CRC byte run (about one frame).
-const crcFlushLen = 505
+// CRCRunBytes bounds a batched CRC byte run (about one frame of 5-byte
+// (reg, word) records): the ICAP engine's lazily-buffered run and the
+// bitstream relocator's both fold through UpdateCRCBytes at this size.
+const CRCRunBytes = 5 * FrameWords
 
 func (ic *ICAP) crcUpdate(reg uint32, w uint32) {
 	// The running CRC is folded lazily: bytes accumulate here and are
@@ -215,7 +224,7 @@ func (ic *ICAP) crcUpdate(reg uint32, w uint32) {
 	// when the CRC register is checked. Observable values are identical
 	// to per-word folding.
 	ic.crcPend = append(ic.crcPend, byte(reg), byte(w), byte(w>>8), byte(w>>16), byte(w>>24))
-	if len(ic.crcPend) >= crcFlushLen {
+	if len(ic.crcPend) >= CRCRunBytes {
 		ic.flushCRC()
 	}
 }

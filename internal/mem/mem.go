@@ -21,7 +21,8 @@ import (
 // full streaming bandwidth.
 type DDR struct {
 	k         *sim.Kernel
-	data      []byte
+	size      int
+	pages     [][]byte // ddrPageSize each, allocated on first write
 	readPort  *sim.Resource
 	writePort *sim.Resource
 
@@ -51,11 +52,21 @@ type DDR struct {
 // DefaultDDRLatency is the calibrated first-beat latency in cycles.
 const DefaultDDRLatency sim.Time = 11
 
-// NewDDR returns a DDR model with size bytes of backing store.
+// The backing store is paged: a scenario touches a few MiB of the
+// 64 MiB DDR, so a page is allocated on its first write, and a page
+// never written reads as zeros. Paging is invisible to timing, ports,
+// bounds and Size.
+const (
+	ddrPageShift = 16
+	ddrPageSize  = 1 << ddrPageShift
+)
+
+// NewDDR returns a DDR model with size bytes of zeroed backing store.
 func NewDDR(k *sim.Kernel, size int) *DDR {
 	return &DDR{
 		k:            k,
-		data:         make([]byte, size),
+		size:         size,
+		pages:        make([][]byte, (size+ddrPageSize-1)/ddrPageSize),
 		readPort:     sim.NewResource(k, "ddr.rd"),
 		writePort:    sim.NewResource(k, "ddr.wr"),
 		Latency:      DefaultDDRLatency,
@@ -64,7 +75,7 @@ func NewDDR(k *sim.Kernel, size int) *DDR {
 }
 
 // Size returns the capacity in bytes.
-func (d *DDR) Size() int { return len(d.data) }
+func (d *DDR) Size() int { return d.size }
 
 // BytesRead returns the total bytes served by the read port.
 func (d *DDR) BytesRead() uint64 { return d.bytesRead }
@@ -73,11 +84,38 @@ func (d *DDR) BytesRead() uint64 { return d.bytesRead }
 func (d *DDR) BytesWritten() uint64 { return d.bytesWritten }
 
 func (d *DDR) bounds(op string, addr uint64, n int) error {
-	if addr+uint64(n) > uint64(len(d.data)) {
+	if addr+uint64(n) > uint64(d.size) {
 		return &axi.AccessError{Op: op, Addr: addr,
-			Err: fmt.Errorf("%w: beyond DDR size %#x", axi.ErrDecode, len(d.data))}
+			Err: fmt.Errorf("%w: beyond DDR size %#x", axi.ErrDecode, d.size)}
 	}
 	return nil
+}
+
+// copyOut fills buf from the backing store at addr (in bounds).
+func (d *DDR) copyOut(buf []byte, addr uint64) {
+	for len(buf) > 0 {
+		off := int(addr & (ddrPageSize - 1))
+		n := min(len(buf), ddrPageSize-off)
+		if pg := d.pages[addr>>ddrPageShift]; pg != nil {
+			copy(buf[:n], pg[off:])
+		} else {
+			clear(buf[:n])
+		}
+		buf, addr = buf[n:], addr+uint64(n)
+	}
+}
+
+// copyIn stores data at addr (in bounds), allocating untouched pages.
+func (d *DDR) copyIn(addr uint64, data []byte) {
+	for len(data) > 0 {
+		pg := d.pages[addr>>ddrPageShift]
+		if pg == nil {
+			pg = make([]byte, ddrPageSize)
+			d.pages[addr>>ddrPageShift] = pg
+		}
+		n := copy(pg[addr&(ddrPageSize-1):], data)
+		data, addr = data[n:], addr+uint64(n)
+	}
 }
 
 func (d *DDR) beats(n int) sim.Time {
@@ -93,7 +131,7 @@ func (d *DDR) Read(p *sim.Proc, addr uint64, buf []byte) error {
 	p.Sleep(d.Latency)
 	d.readPort.Acquire(p)
 	p.Sleep(d.beats(len(buf)))
-	copy(buf, d.data[addr:])
+	d.copyOut(buf, addr)
 	d.bytesRead += uint64(len(buf))
 	d.readPort.Release()
 	return nil
@@ -107,7 +145,7 @@ func (d *DDR) Write(p *sim.Proc, addr uint64, data []byte) error {
 	p.Sleep(d.Latency)
 	d.writePort.Acquire(p)
 	p.Sleep(d.beats(len(data)))
-	copy(d.data[addr:], data)
+	d.copyIn(addr, data)
 	d.bytesWritten += uint64(len(data))
 	d.writePort.Release()
 	return nil
@@ -118,17 +156,25 @@ func (d *DDR) Write(p *sim.Proc, addr uint64, data []byte) error {
 // already staged by an earlier, unmeasured phase) and is used by tests
 // and workload setup.
 func (d *DDR) Load(addr uint64, data []byte) {
-	if addr+uint64(len(data)) > uint64(len(d.data)) {
-		panic(fmt.Sprintf("mem: Load of %d bytes at %#x beyond DDR size %#x", len(data), addr, len(d.data)))
+	if addr+uint64(len(data)) > uint64(d.size) {
+		panic(fmt.Sprintf("mem: Load of %d bytes at %#x beyond DDR size %#x", len(data), addr, d.size))
 	}
-	copy(d.data[addr:], data)
+	d.copyIn(addr, data)
 }
 
 // Peek copies n bytes out without consuming simulated time.
 func (d *DDR) Peek(addr uint64, n int) []byte {
 	out := make([]byte, n)
-	copy(out, d.data[addr:addr+uint64(n)])
+	d.PeekInto(addr, out)
 	return out
+}
+
+// PeekInto fills buf from addr without consuming simulated time.
+func (d *DDR) PeekInto(addr uint64, buf []byte) {
+	if addr+uint64(len(buf)) > uint64(d.size) {
+		panic(fmt.Sprintf("mem: Peek of %d bytes at %#x beyond DDR size %#x", len(buf), addr, d.size))
+	}
+	d.copyOut(buf, addr)
 }
 
 // ddrOp is a pooled in-flight async transaction. Its three continuation
@@ -167,10 +213,10 @@ func (d *DDR) getOp(write bool) *ddrOp {
 	op.afterBeats = func() {
 		dd := op.d
 		if op.write {
-			copy(dd.data[op.addr:], op.buf)
+			dd.copyIn(op.addr, op.buf)
 			dd.bytesWritten += uint64(len(op.buf))
 		} else {
-			copy(op.buf, dd.data[op.addr:])
+			dd.copyOut(op.buf, op.addr)
 			dd.bytesRead += uint64(len(op.buf))
 		}
 		port.Release()

@@ -3,6 +3,7 @@ package sched
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"rvcap/internal/accel"
 	"rvcap/internal/bitstream"
@@ -125,9 +126,17 @@ func (r *Runtime) movableRegion(reg *place.Region) bool {
 }
 
 // icapLoad drives a maintenance bitstream (defrag relocation or span
-// blanking) straight into the ICAP port, charging the port time. A
-// latched configuration-engine error surfaces as a load fault.
+// blanking) straight into the ICAP port, charging the port time. An
+// engine left synced or errored by an earlier load (a DMA load whose
+// DESYNC was lost) is healed first, as the DMA path does, so the stream
+// is parsed from its sync word. A latched configuration-engine error
+// surfaces as a load fault.
 func (r *Runtime) icapLoad(p *sim.Proc, words []uint32) error {
+	if r.s.ICAP.Synced() || r.s.ICAP.Err() != nil {
+		if err := r.d.RecoverICAP(p); err != nil {
+			return err
+		}
+	}
 	for _, w := range words {
 		r.s.ICAP.WriteWord(w)
 	}
@@ -299,19 +308,27 @@ func (r *Runtime) ensurePlaced(p *sim.Proc, rp *rpState, pi int, job *Job) (bool
 // FAR packets to the region's anchor, and writes the relocated stream
 // to the relocation scratch buffer the DMA will read. A stream that
 // fails relocation (corrupted while staging) is a load fault — the
-// caller heals and re-stages.
+// caller heals and re-stages. The host-side buffers are the runtime's
+// reused relocation scratch.
+//
+//lint:hot
 func (r *Runtime) stageRelocated(p *sim.Proc, rp *rpState, key imgKey, e *cacheEntry) (uint64, uint32, error) {
-	words, err := bitstream.BytesToWords(r.s.DDR.Peek(e.addr, e.bytes))
+	r.relocBytes = slices.Grow(r.relocBytes[:0], e.bytes)[:e.bytes]
+	r.s.DDR.PeekInto(e.addr, r.relocBytes)
+	words, err := bitstream.AppendWords(r.relocIn[:0], r.relocBytes)
 	if err != nil {
 		return 0, 0, fmt.Errorf("%w: staged %s: %v", errLoadFaulty, key.moduleName(), err)
 	}
+	r.relocIn = words
 	anchor := r.protoAnchor[key.mod]
-	shifted, err := bitstream.Relocate(words,
+	shifted, err := bitstream.Relocate(r.relocOut[:0], words,
 		place.Shift(r.s.Fabric.Dev, anchor[0], anchor[1], rp.region.Row, rp.region.Col))
+	r.relocOut = shifted
 	if err != nil {
 		return 0, 0, fmt.Errorf("%w: relocating %s to %s: %v", errLoadFaulty, key.moduleName(), rp.region.Name, err)
 	}
 	p.Sleep(sim.Time(len(words) / relocWordsPerCycle))
-	r.s.DDR.Load(relocBase, bitstream.WordsToBytes(shifted))
+	r.relocBytes = bitstream.AppendBytes(r.relocBytes[:0], shifted)
+	r.s.DDR.Load(relocBase, r.relocBytes)
 	return relocBase, uint32(len(shifted) * 4), nil
 }

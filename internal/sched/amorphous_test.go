@@ -119,3 +119,22 @@ func TestAmorphousValidatesSlots(t *testing.T) {
 		t.Fatalf("6 amorphous slots rejected: %v", err)
 	}
 }
+
+// TestAmorphousFaultsHeal sweeps fault rates and seeds on amorphous
+// boards. A DMA load whose DESYNC was lost leaves the ICAP synced; the
+// next defrag or blanking load writes straight into the port, so it must
+// heal the engine first instead of being parsed mid-packet as garbage.
+func TestAmorphousFaultsHeal(t *testing.T) {
+	for _, rate := range []float64{0.01, 0.02, 0.05, 0.1} {
+		for seed := int64(1); seed <= 5; seed++ {
+			rep, err := Run(Config{Amorphous: true, RPs: 3, Jobs: 200, Seed: seed, Load: 0.8,
+				Policy: Affinity, FaultRate: rate})
+			if err != nil {
+				t.Fatalf("rate %v seed %d: %v", rate, seed, err)
+			}
+			if rep.Jobs != 200 {
+				t.Fatalf("rate %v seed %d: %d jobs reported, want 200", rate, seed, rep.Jobs)
+			}
+		}
+	}
+}

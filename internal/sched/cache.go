@@ -84,6 +84,8 @@ type bitCache struct {
 	queue    []imgKey
 	qHead    int
 	fetchSig *sim.Signal
+	// stageBuf is the reused serialisation buffer of a staged image.
+	stageBuf []byte
 	wake     *sim.Signal // the runtime's dispatcher wake-up
 
 	// plan, when set, injects SD staging faults and bitstream
@@ -347,7 +349,8 @@ func (c *bitCache) stage(p *sim.Proc, e *cacheEntry, im *bitstream.Image) bool {
 			continue
 		}
 		p.Sleep(sim.Time(im.SizeBytes() / sdBytesPerCycle))
-		data := im.Bytes()
+		c.stageBuf = bitstream.AppendBytes(c.stageBuf[:0], im.Words)
+		data := c.stageBuf
 		e.bytes = im.SizeBytes()
 		if c.plan != nil {
 			switch cor := c.plan.Stage(seq, len(data)); cor.Kind {

@@ -268,6 +268,12 @@ type Runtime struct {
 	defragPre   float64 // Σ external-frag % before effective defrags
 	defragPost  float64 // Σ external-frag % after effective defrags
 	defragN     int
+	// Relocation scratch, reused by every stageRelocated: the staged
+	// bytes read back (and then the relocated bytes written out), the
+	// staged words, and the relocated words.
+	relocBytes []byte
+	relocIn    []uint32
+	relocOut   []uint32
 
 	// plan, when set, schedules the injected faults; killArmed is true
 	// while the dispatcher is loading the hard-failed partition.
